@@ -96,12 +96,6 @@ inline auto run_cells(std::size_t n, Fn&& fn) {
   return exec::parallel_map(n, bench_jobs(), fn);
 }
 
-// Same, with an explicit thread count (bench_parallel's jobs sweep).
-template <typename Fn>
-inline auto run_cells_jobs(std::size_t n, int jobs, Fn&& fn) {
-  return exec::parallel_map(n, jobs, fn);
-}
-
 inline double overhead_pct(double base, double measured) {
   return base == 0 ? 0 : (measured - base) / base * 100.0;
 }

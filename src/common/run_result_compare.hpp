@@ -2,8 +2,8 @@
 
 // Full-RunResult equality shared by the fast-path transparency suites
 // (decode_test, snapshot_test) and the bench divergence gates
-// (bench_decode, bench_elide, bench_trace): every simulated field must
-// match bit-for-bit. Mirrors netsim::first_metrics_difference — the
+// (bench_elide, bench_trace): every simulated field must match
+// bit-for-bit. Mirrors netsim::first_metrics_difference — the
 // comparator names the first diverging field, so a failing gate says
 // *what* drifted, not just that something did.
 //

@@ -139,7 +139,11 @@ void Parser::parse_top_level(TranslationUnit& unit) {
   const SourceLoc loc = peek().loc;
   if (!at_type_keyword()) {
     diagnostics_->error(loc, "expected declaration at top level");
+    // synchronize() stops at `}` for the enclosing block; at top level
+    // there is none, so consume the stray brace or parse() makes no
+    // progress.
     synchronize();
+    match(TokenKind::kRBrace);
     return;
   }
   const Type type = parse_type();

@@ -150,10 +150,10 @@ struct RequestClass {
   int weight{1};
 };
 
-// Host-side serving strategy plus the simulated load model. The two
+// Host-side serving strategy plus the simulated load model. The three
 // `enable_*` switches are fast-path toggles only: every ServerMetrics
 // field is bit-identical whichever way they are set
-// (tests/exec/parallel_invariance_test, bench/bench_serve, bench/bench_decode).
+// (tests/exec/parallel_invariance_test, bench/bench_serve, bench/bench_trace).
 // The load-model knobs (classes, arrival process, churn) *do* change what
 // is simulated — but deterministically, and identically for both serving
 // strategies and any thread count.
@@ -170,7 +170,8 @@ struct ServeOptions {
   bool enable_snapshot{true};
   // Run the children on the pre-decoded micro-op engine (vm/decode.hpp).
   // false forces the reference interpreter regardless of the compiled
-  // program's MachineConfig (A/B baseline for bench_decode).
+  // program's MachineConfig (the replay reference in
+  // ParallelInvariance.SnapshotServingMatchesReplayAtEveryThreadCount).
   bool enable_predecode{true};
   // Run the children with the hot-trace superblock engine (DESIGN.md §11).
   // Like enable_predecode, this can only turn the layer *off* relative to

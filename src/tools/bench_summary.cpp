@@ -23,7 +23,7 @@ namespace fs = std::filesystem;
 namespace {
 
 struct BenchFile {
-  std::string name; // "decode" for BENCH_decode.json
+  std::string name; // "trace" for BENCH_trace.json
   std::string body; // verbatim JSON document
 };
 
@@ -172,20 +172,13 @@ int main(int argc, char** argv) {
     return 1;
   }
   // North-star metrics promoted to the very top of the trajectory file:
-  // the decode bench's interpreter-grid speedup (fused engine vs reference
-  // interpreter), its static fusion hit rate, the netsim
-  // fork-from-snapshot speedup, the serving loop's armed-snapshot speedup
-  // plus sustained-load p99 latency, and the elision bench's checking-
-  // cycle reduction and static-check removal ratio. CI trend lines read
-  // these without digging through the per-bench documents. The tenant
-  // bench contributes its budgeted-cell LDT thrash ratio and the matrix
-  // context-switch overhead.
+  // the serving loop's armed-snapshot speedup plus sustained-load p99
+  // latency, the elision bench's checking-cycle reduction and static-check
+  // removal ratio, the tenant bench's budgeted-cell LDT thrash ratio and
+  // matrix context-switch overhead, and the trace bench's speedup and
+  // coverage. CI trend lines read these without digging through the
+  // per-bench documents.
   const std::pair<const char*, const char*> kKeyMetrics[] = {
-      {"decode", "interpreter_speedup"},
-      {"decode", "interpreter_speedup_unfused"},
-      {"decode", "fusion_hit_rate"},
-      {"decode", "threaded_dispatch"},
-      {"decode", "netsim_speedup"},
       {"serve", "armed_snapshot_speedup"},
       {"serve", "p99_latency_cycles"},
       {"elide", "check_cycle_reduction"},

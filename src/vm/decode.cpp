@@ -832,9 +832,9 @@ inline int exec_bin(const MicroInstr& v, const Value a, const Value b,
 
 // ---------------------------------------------------------------------------
 // Hot-trace superblock formation (DESIGN.md §11). When a block's execution
-// counter crosses MachineConfig::trace_threshold, the engine follows the
-// recorded biased successor edges and splices up to kTraceMaxBlocks blocks'
-// member micro-ops into one straight-line stream: interior kJumps vanish,
+// counter reaches kTraceThreshold, the engine follows the recorded biased
+// successor edges and splices up to kTraceMaxBlocks blocks' member
+// micro-ops into one straight-line stream: interior kJumps vanish,
 // interior branches become guard micro-ops whose biased arm falls through.
 // A chain whose biased tail returns to the entry closes into a loop — the
 // tail becomes a kTraceLoop that retires the pass and restarts at micro-op
@@ -851,6 +851,8 @@ inline int exec_bin(const MicroInstr& v, const Value a, const Value b,
 constexpr std::int32_t kTraceNone = -1;
 constexpr std::int32_t kTraceDead = -2;
 constexpr std::uint32_t kTraceMaxBlocks = 16;
+// Block execution count at which a hot block is promoted.
+constexpr std::uint32_t kTraceThreshold = 16;
 
 constexpr bool is_terminator(UOp op) noexcept {
   return op == UOp::kJump || op == UOp::kBranch ||
@@ -1122,9 +1124,7 @@ RunResult execute_decoded(Machine::Impl& impl, const ir::Function* entry) {
   // as the other transparent layers. Trace state lives on the machine and
   // persists across runs (and snapshots); coverage is reported per run.
   const bool trace_on = impl.config.enable_trace &&
-                        impl.config.trace_threshold != 0 &&
                         std::getenv("CASH_NO_TRACE") == nullptr;
-  const std::uint32_t trace_threshold = impl.config.trace_threshold;
   if (trace_on && impl.trace.fns.size() != prog.functions().size()) {
     impl.trace.fns.resize(prog.functions().size());
   }
@@ -1527,7 +1527,7 @@ RunResult execute_decoded(Machine::Impl& impl, const ir::Function* entry) {
           FnTraceState& ts = *frame.tstate;
           std::int32_t ti = ts.trace_at[frame.pc];
           if (ti == kTraceNone &&
-              ++ts.hot[frame.pc] == trace_threshold) {
+              ++ts.hot[frame.pc] == kTraceThreshold) {
             ti = try_form_trace(ts, *frame.stream, frame.pc,
                                 impl.trace.stats);
           }

@@ -72,12 +72,6 @@ struct MachineConfig {
   // effect when the machine runs the reference interpreter. Also forced
   // off when $CASH_NO_TRACE is set, for A/B runs without recompiling.
   bool enable_trace{true};
-  // Block execution count at which a hot block is promoted into a
-  // superblock. Promotion is a pure function of the simulated instruction
-  // stream (never of host timing or job count), so results — including
-  // TraceStats — replay identically across host jobs and
-  // snapshot/restore. 0 disables promotion entirely.
-  std::uint32_t trace_threshold{16};
   // Deterministic fault injection (DESIGN.md §8). Off by default: an empty
   // plan is bit-transparent — cycles, breakdowns and counters are identical
   // to a build without the layer. A non-empty plan replays identically for
@@ -119,9 +113,8 @@ struct FunctionProfile {
 // Hot-trace superblock statistics (DESIGN.md §11). Host-side only, like
 // TlbStats: the counters are cumulative across runs of one Machine and all
 // zero when the trace engine is off ($CASH_NO_TRACE, enable_trace=false,
-// trace_threshold=0, or the reference interpreter). `coverage` is per-run:
-// the fraction of this run's retired IR instructions that executed inside
-// a superblock.
+// or the reference interpreter). `coverage` is per-run: the fraction of
+// this run's retired IR instructions that executed inside a superblock.
 struct TraceStats {
   std::uint64_t traces_formed{0};
   std::uint64_t trace_execs{0};         // superblock entries

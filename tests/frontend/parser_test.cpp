@@ -2,6 +2,8 @@
 // (validated through evaluation), and statement-level error recovery.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "core/cash.hpp"
 #include "frontend/lexer.hpp"
 #include "frontend/parser.hpp"
@@ -90,6 +92,12 @@ struct PrecedenceCase {
   int expected;
 };
 
+// Names each case by its fields; gtest's default byte dump would put the
+// string's address into the test name.
+void PrintTo(const PrecedenceCase& c, std::ostream* os) {
+  *os << c.expr << " -> " << c.expected;
+}
+
 class Precedence : public testing::TestWithParam<PrecedenceCase> {};
 
 TEST_P(Precedence, EvaluatesLikeC) {
@@ -158,6 +166,20 @@ int main() {
 
 TEST(Parser, MissingSemicolonIsDiagnosed) {
   EXPECT_GE(parse_error_count("int main() { int a = 3 return a; }"), 1);
+}
+
+TEST(Parser, StrayTopLevelBraceIsDiagnosedNotLooped) {
+  // Top-level recovery must consume the `}` that statement recovery stops
+  // at; otherwise each input below never reaches end of file.
+  for (const char* source :
+       {"}", "int main() { return 0; }\n}\n",
+        "int main() { 3 if (1) { } return 0; }"}) {
+    SCOPED_TRACE(source);
+    EXPECT_GE(parse_error_count(source), 1);
+    const CompileResult compiled = compile(source);
+    EXPECT_FALSE(compiled.ok());
+    EXPECT_FALSE(compiled.error.empty());
+  }
 }
 
 TEST(Parser, ArraySizeMustBePositiveConstant) {

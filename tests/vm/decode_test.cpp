@@ -8,9 +8,11 @@
 
 #include <cmath>
 #include <string>
+#include <vector>
 
 #include "core/cash.hpp"
 #include "vm/decode.hpp"
+#include "workloads/workloads.hpp"
 
 #include "run_result_compare.hpp"
 
@@ -161,8 +163,34 @@ int main() {
 }
 )";
 
+// The six Table-1 kernels at smoke sizes, each under its own check mode so
+// together they cover every lowering.
+struct KernelInput {
+  const char* name;
+  std::string source;
+  CheckMode mode;
+};
+
+std::vector<KernelInput> table1_kernels() {
+  return {
+      {"matmul", workloads::matmul_source(16), CheckMode::kCash},
+      {"gauss", workloads::gauss_source(16), CheckMode::kBcc},
+      {"fft2d", workloads::fft2d_source(8), CheckMode::kNoCheck},
+      {"edge", workloads::edge_source(48, 32), CheckMode::kShadow},
+      {"volren", workloads::volren_source(12, 24), CheckMode::kBoundInsn},
+      {"svd", workloads::svd_source(16, 12, 3), CheckMode::kEfence},
+  };
+}
+
 TEST(DecodeTransparency, EveryOpcodeEveryMode) {
   run_all_modes(kEveryOpcode);
+}
+
+TEST(DecodeTransparency, Table1KernelsEveryEngine) {
+  for (const KernelInput& kernel : table1_kernels()) {
+    SCOPED_TRACE(kernel.name);
+    run_both(kernel.source, kernel.mode);
+  }
 }
 
 TEST(DecodeTransparency, GlobalArrayOverflowEveryMode) {
@@ -365,11 +393,6 @@ TEST(DecodeTransparency, DirectMachineHasNoDecodedImage) {
 }
 
 TEST(DecodeTransparency, DecodedImageIsWellFormed) {
-  CompileResult compiled = compile(kEveryOpcode, {});
-  ASSERT_TRUE(compiled.ok()) << compiled.error;
-  const vm::DecodedProgram* decoded = compiled.program->decoded();
-  ASSERT_NE(decoded, nullptr);
-  ASSERT_TRUE(decoded->ok());
   // Checks one member stream: every group header's member count covers
   // in-bounds micro-ops, the header maps to a FoldedGroup whose count equals
   // the sum of the members' IR widths, and a terminator appears only as the
@@ -405,26 +428,41 @@ TEST(DecodeTransparency, DecodedImageIsWellFormed) {
                                      << " fn=" << fn.fn->name;
     }
   };
-  bool any_fused = false;
-  for (const vm::DecodedFunction& fn : decoded->functions()) {
-    ASSERT_TRUE(fn.ok);
-    ASSERT_NE(fn.fn, nullptr);
-    check_stream(fn, fn.plain, /*fused=*/false);
-    check_stream(fn, fn.fused, /*fused=*/true);
-    // The two streams agree on group metadata (the cold fault path relies
-    // on plain_first no matter which stream was hot).
-    ASSERT_EQ(fn.plain.groups.size(), fn.fused.groups.size());
-    for (std::size_t g = 0; g < fn.plain.groups.size(); ++g) {
-      EXPECT_EQ(fn.plain.groups[g].count, fn.fused.groups[g].count);
-      EXPECT_EQ(fn.plain.groups[g].plain_first, fn.fused.groups[g].plain_first);
+  // The every-opcode corpus and each Table-1 kernel must exercise the
+  // fusion pass.
+  std::vector<KernelInput> inputs = table1_kernels();
+  inputs.insert(inputs.begin(),
+                KernelInput{"every-opcode", kEveryOpcode, CheckMode::kCash});
+  for (const KernelInput& input : inputs) {
+    SCOPED_TRACE(std::string(input.name) + " mode=" + mode_name(input.mode));
+    CompileOptions options;
+    options.lower.mode = input.mode;
+    CompileResult compiled = compile(input.source, options);
+    ASSERT_TRUE(compiled.ok()) << compiled.error;
+    const vm::DecodedProgram* decoded = compiled.program->decoded();
+    ASSERT_NE(decoded, nullptr);
+    ASSERT_TRUE(decoded->ok());
+    bool any_fused = false;
+    for (const vm::DecodedFunction& fn : decoded->functions()) {
+      ASSERT_TRUE(fn.ok);
+      ASSERT_NE(fn.fn, nullptr);
+      check_stream(fn, fn.plain, /*fused=*/false);
+      check_stream(fn, fn.fused, /*fused=*/true);
+      // The two streams agree on group metadata (the cold fault path
+      // relies on plain_first no matter which stream was hot).
+      ASSERT_EQ(fn.plain.groups.size(), fn.fused.groups.size());
+      for (std::size_t g = 0; g < fn.plain.groups.size(); ++g) {
+        EXPECT_EQ(fn.plain.groups[g].count, fn.fused.groups[g].count);
+        EXPECT_EQ(fn.plain.groups[g].plain_first,
+                  fn.fused.groups[g].plain_first);
+      }
+      EXPECT_LE(fn.fused.uops.size(), fn.plain.uops.size());
+      EXPECT_LE(fn.stats.fused_instrs, fn.stats.foldable_instrs);
+      any_fused |= fn.stats.fused_uops > 0;
     }
-    EXPECT_LE(fn.fused.uops.size(), fn.plain.uops.size());
-    EXPECT_LE(fn.stats.fused_instrs, fn.stats.foldable_instrs);
-    any_fused |= fn.stats.fused_uops > 0;
+    EXPECT_TRUE(any_fused);
+    EXPECT_GT(decoded->fusion_stats().hit_rate(), 0.0);
   }
-  // The every-opcode corpus must exercise the fusion pass.
-  EXPECT_TRUE(any_fused);
-  EXPECT_GT(decoded->fusion_stats().hit_rate(), 0.0);
 }
 
 // ---------------------------------------------------------------------------

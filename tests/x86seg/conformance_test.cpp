@@ -4,6 +4,9 @@
 // evaluation of the SDM rules.
 #include <gtest/gtest.h>
 
+#include <iomanip>
+#include <ostream>
+
 #include "x86seg/descriptor.hpp"
 
 namespace cash::x86seg {
@@ -15,6 +18,14 @@ struct DescriptorCase {
   bool writable;
   std::uint8_t dpl;
 };
+
+// Names each case by its fields; gtest's default byte dump would put the
+// struct's uninitialised padding into the test name.
+void PrintTo(const DescriptorCase& c, std::ostream* os) {
+  *os << "base=0x" << std::hex << std::setw(8) << std::setfill('0') << c.base
+      << std::dec << " size=" << c.size << (c.writable ? " rw" : " ro")
+      << " dpl=" << static_cast<int>(c.dpl);
+}
 
 class RoundTrip : public testing::TestWithParam<DescriptorCase> {};
 
