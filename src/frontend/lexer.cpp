@@ -1,6 +1,8 @@
 #include "frontend/lexer.hpp"
 
 #include <cctype>
+#include <cerrno>
+#include <cstdint>
 #include <cstdlib>
 #include <map>
 #include <string>
@@ -101,6 +103,19 @@ bool Lexer::match(char expected) noexcept {
   return true;
 }
 
+std::int32_t Lexer::int_literal(const std::string& digits, int base,
+                                SourceLoc at) {
+  errno = 0;
+  const unsigned long long value = std::strtoull(digits.c_str(), nullptr, base);
+  if (errno == ERANGE || value > 0xFFFFFFFFULL) {
+    diagnostics_->error(at, "integer literal does not fit in 32 bits");
+    return 0;
+  }
+  // 32-bit two's complement: 2147483648 wraps to INT_MIN, so
+  // -2147483648 negates back to it.
+  return static_cast<std::int32_t>(static_cast<std::uint32_t>(value));
+}
+
 void Lexer::lex_number(std::vector<Token>& out) {
   Token token;
   token.loc = loc();
@@ -113,8 +128,7 @@ void Lexer::lex_number(std::vector<Token>& out) {
       text.push_back(advance());
     }
     token.kind = TokenKind::kIntLit;
-    token.int_value =
-        static_cast<std::int32_t>(std::strtoul(text.c_str(), nullptr, 16));
+    token.int_value = int_literal(text, 16, token.loc);
     out.push_back(std::move(token));
     return;
   }
@@ -150,8 +164,7 @@ void Lexer::lex_number(std::vector<Token>& out) {
     token.float_value = std::strtof(text.c_str(), nullptr);
   } else {
     token.kind = TokenKind::kIntLit;
-    token.int_value =
-        static_cast<std::int32_t>(std::strtol(text.c_str(), nullptr, 10));
+    token.int_value = int_literal(text, 10, token.loc);
   }
   out.push_back(std::move(token));
 }

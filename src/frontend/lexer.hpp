@@ -1,5 +1,7 @@
 #pragma once
 
+#include <cstdint>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -25,6 +27,9 @@ class Lexer {
   SourceLoc loc() const noexcept { return {line_, column_}; }
 
   void lex_number(std::vector<Token>& out);
+  // Value of a decimal or hex literal, wrapped to 32-bit two's complement;
+  // reports a diagnostic (and yields 0) when it exceeds 0xFFFFFFFF.
+  std::int32_t int_literal(const std::string& digits, int base, SourceLoc at);
   void lex_ident(std::vector<Token>& out);
 
   std::string_view source_;

@@ -6,6 +6,35 @@ namespace cash::frontend {
 
 namespace {
 
+// Deepest AST nesting the parser builds, counted per statement, per
+// expression, per prefix operator and per operator of a left-associative
+// chain (so the count bounds the tree's depth from above). Real programs
+// nest a few dozen levels; the cap keeps irgen and the AST destructor,
+// which recurse over the tree, inside an 8 MB host stack (an ASan Debug
+// build compiles a program at the limit in under 4 MB).
+constexpr int kMaxNestingDepth = 1000;
+
+// Restores the parser's nesting depth when a production returns.
+class DepthScope {
+ public:
+  explicit DepthScope(int& depth) : depth_(depth), saved_(depth) {}
+  DepthScope(const DepthScope&) = delete;
+  DepthScope& operator=(const DepthScope&) = delete;
+  ~DepthScope() { depth_ = saved_; }
+
+ private:
+  int& depth_;
+  int saved_;
+};
+
+// Placeholder for an expression that could not be parsed.
+std::unique_ptr<Expr> error_expr(SourceLoc loc) {
+  auto node = std::make_unique<Expr>();
+  node->kind = ExprKind::kIntLit;
+  node->loc = loc;
+  return node;
+}
+
 // Binary operator precedence, C-style. Higher binds tighter.
 int precedence(TokenKind kind) {
   switch (kind) {
@@ -98,6 +127,51 @@ void Parser::synchronize() noexcept {
     }
     advance();
   }
+}
+
+bool Parser::deeper(bool statement) {
+  if (++depth_ <= kMaxNestingDepth) {
+    return true;
+  }
+  if (!too_deep_reported_) {
+    too_deep_reported_ = true;
+    diagnostics_->error(peek().loc,
+                        "nesting is deeper than " +
+                            std::to_string(kMaxNestingDepth) + " levels");
+  }
+  // Skip the rest of the construct with brackets balanced, stopping before
+  // the token that belongs to the enclosing one. A statement also takes
+  // its own ';' or closing '}' (and any `else` branches after it), and
+  // always at least one token.
+  const std::size_t start = pos_;
+  int open = 0;
+  while (!check(TokenKind::kEof)) {
+    const TokenKind kind = peek().kind;
+    const bool closer = kind == TokenKind::kRParen ||
+                        kind == TokenKind::kRBracket ||
+                        kind == TokenKind::kRBrace;
+    if (open == 0 &&
+        (closer || (!statement && (kind == TokenKind::kSemicolon ||
+                                   kind == TokenKind::kComma)))) {
+      break;
+    }
+    advance();
+    if (kind == TokenKind::kLParen || kind == TokenKind::kLBracket ||
+        kind == TokenKind::kLBrace) {
+      ++open;
+    } else if (closer) {
+      --open;
+    }
+    if (open == 0 &&
+        (kind == TokenKind::kSemicolon || kind == TokenKind::kRBrace) &&
+        !check(TokenKind::kKwElse)) {
+      break;
+    }
+  }
+  if (statement && pos_ == start) {
+    advance();
+  }
+  return false;
 }
 
 bool Parser::at_type_keyword() const noexcept {
@@ -241,6 +315,13 @@ std::unique_ptr<Stmt> Parser::parse_block() {
 }
 
 std::unique_ptr<Stmt> Parser::parse_stmt() {
+  const DepthScope scope(depth_);
+  if (!deeper(/*statement=*/true)) {
+    auto empty = std::make_unique<Stmt>();
+    empty->kind = StmtKind::kBlock;
+    empty->loc = peek().loc;
+    return empty;
+  }
   if (at_type_keyword()) {
     return parse_var_decl();
   }
@@ -370,6 +451,11 @@ std::unique_ptr<Stmt> Parser::parse_for() {
 }
 
 std::unique_ptr<Expr> Parser::parse_expr() {
+  const DepthScope scope(depth_);
+  const SourceLoc start = peek().loc;
+  if (!deeper(/*statement=*/false)) {
+    return error_expr(start);
+  }
   auto lhs = parse_binary(0);
 
   AssignOp op = AssignOp::kNone;
@@ -397,10 +483,15 @@ std::unique_ptr<Expr> Parser::parse_expr() {
 }
 
 std::unique_ptr<Expr> Parser::parse_binary(int min_precedence) {
+  const DepthScope scope(depth_);
   auto lhs = parse_unary();
   while (true) {
     const int prec = precedence(peek().kind);
     if (prec < 0 || prec < min_precedence) {
+      return lhs;
+    }
+    // Each operator of a left-associative chain nests lhs one level deeper.
+    if (!deeper(/*statement=*/false)) {
       return lhs;
     }
     const Token& op_token = advance();
@@ -416,55 +507,41 @@ std::unique_ptr<Expr> Parser::parse_binary(int min_precedence) {
 }
 
 std::unique_ptr<Expr> Parser::parse_unary() {
-  const SourceLoc loc = peek().loc;
-  if (match(TokenKind::kMinus)) {
-    auto node = std::make_unique<Expr>();
-    node->kind = ExprKind::kUnary;
-    node->loc = loc;
-    node->unary_op = UnaryOp::kNeg;
-    node->lhs = parse_unary();
-    return node;
+  ExprKind kind = ExprKind::kUnary;
+  UnaryOp op = UnaryOp::kNeg;
+  switch (peek().kind) {
+    case TokenKind::kMinus:      op = UnaryOp::kNeg; break;
+    case TokenKind::kBang:       op = UnaryOp::kNot; break;
+    case TokenKind::kTilde:      op = UnaryOp::kBitNot; break;
+    case TokenKind::kStar:       kind = ExprKind::kDeref; break;
+    case TokenKind::kPlusPlus:
+    case TokenKind::kMinusMinus: kind = ExprKind::kIncDec; break;
+    default:                     return parse_postfix();
   }
-  if (match(TokenKind::kBang)) {
-    auto node = std::make_unique<Expr>();
-    node->kind = ExprKind::kUnary;
-    node->loc = loc;
-    node->unary_op = UnaryOp::kNot;
-    node->lhs = parse_unary();
-    return node;
+  auto node = std::make_unique<Expr>();
+  node->kind = kind;
+  node->unary_op = op;
+  node->is_prefix = kind == ExprKind::kIncDec;
+  node->is_increment = !check(TokenKind::kMinusMinus);
+  node->loc = advance().loc;
+  const DepthScope scope(depth_);
+  if (!deeper(/*statement=*/false)) {
+    return error_expr(node->loc);
   }
-  if (match(TokenKind::kTilde)) {
-    auto node = std::make_unique<Expr>();
-    node->kind = ExprKind::kUnary;
-    node->loc = loc;
-    node->unary_op = UnaryOp::kBitNot;
-    node->lhs = parse_unary();
-    return node;
-  }
-  if (match(TokenKind::kStar)) {
-    auto node = std::make_unique<Expr>();
-    node->kind = ExprKind::kDeref;
-    node->loc = loc;
-    node->lhs = parse_unary();
-    return node;
-  }
-  if (check(TokenKind::kPlusPlus) || check(TokenKind::kMinusMinus)) {
-    const bool increment = check(TokenKind::kPlusPlus);
-    advance();
-    auto node = std::make_unique<Expr>();
-    node->kind = ExprKind::kIncDec;
-    node->loc = loc;
-    node->is_prefix = true;
-    node->is_increment = increment;
-    node->lhs = parse_unary();
-    return node;
-  }
-  return parse_postfix();
+  node->lhs = parse_unary();
+  return node;
 }
 
 std::unique_ptr<Expr> Parser::parse_postfix() {
+  const DepthScope scope(depth_);
   auto expr = parse_primary();
   while (true) {
+    // Like a binary chain, each postfix operator nests one level deeper.
+    if ((check(TokenKind::kLBracket) || check(TokenKind::kPlusPlus) ||
+         check(TokenKind::kMinusMinus)) &&
+        !deeper(/*statement=*/false)) {
+      return expr;
+    }
     if (match(TokenKind::kLBracket)) {
       auto node = std::make_unique<Expr>();
       node->kind = ExprKind::kIndex;
@@ -542,10 +619,7 @@ std::unique_ptr<Expr> Parser::parse_primary() {
                                          to_string(token.kind) +
                                          " in expression");
       advance();
-      auto node = std::make_unique<Expr>();
-      node->kind = ExprKind::kIntLit;
-      node->loc = token.loc;
-      return node;
+      return error_expr(token.loc);
     }
   }
 }

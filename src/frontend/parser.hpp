@@ -12,6 +12,9 @@ namespace cash::frontend {
 // Recursive-descent parser for MiniC (see docs/MINIC.md for the grammar).
 // Error recovery is statement-level: on a parse error the parser skips to
 // the next ';' or '}' and continues, so one mistake yields one diagnostic.
+// AST nesting is capped at kMaxNestingDepth: a construct nested deeper is
+// diagnosed and skipped, because every later stage (irgen, the AST's own
+// destructor) recurses over the tree on the host stack.
 class Parser {
  public:
   Parser(std::vector<Token> tokens, DiagnosticSink& diagnostics)
@@ -47,9 +50,16 @@ class Parser {
   std::unique_ptr<Expr> parse_postfix();
   std::unique_ptr<Expr> parse_primary();
 
+  // Takes the AST one level deeper. Past kMaxNestingDepth it reports (once
+  // per parse: the enclosing constructs are at the limit too), skips the
+  // rest of the too-deep statement or expression, and returns false.
+  bool deeper(bool statement);
+
   std::vector<Token> tokens_;
   DiagnosticSink* diagnostics_;
   std::size_t pos_{0};
+  int depth_{0};
+  bool too_deep_reported_{false};
 };
 
 } // namespace cash::frontend

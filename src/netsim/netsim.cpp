@@ -8,6 +8,8 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/costs.hpp"
@@ -419,47 +421,31 @@ ServerMetrics serve_requests(const CompiledProgram& program, int requests,
   const bool has_init =
       program.module().find_function("server_init") != nullptr;
 
-  // Validate the parent image once before the accept loop: a broken
-  // server_init aborts the whole server, not request 0.
-  if (has_init) {
-    vm::Machine parent(program.module(), child_cfg);
-    vm::RunResult init = parent.run_function("server_init");
-    if (!init.ok) {
-      throw std::runtime_error(
-          "server_init failed: " +
-          (init.fault ? init.fault->detail : init.error));
-    }
-  }
-
   const std::vector<std::uint16_t> class_idx =
       assign_classes(classes, requests, seed_base);
   std::vector<RequestSlot> slots(static_cast<std::size_t>(requests));
   PoolAccum pool;
 
-  // Replays server_init on a freshly built or freshly restored machine and
-  // returns the inherited image's stat baselines; records (or throws) on
-  // failure. Returns false when the request must not proceed.
-  auto replay_init = [&](vm::Machine& child, RequestSlot& slot,
-                         InitBaseline& base) -> bool {
-    if (!has_init) {
-      return true;
-    }
-    pool.init_replays.fetch_add(1, std::memory_order_relaxed);
-    vm::RunResult init = child.run_function("server_init");
-    if (!init.ok) {
-      const std::string detail =
-          "server_init failed: " +
-          (init.fault ? init.fault->detail : init.error);
-      if (!record_failures) {
-        throw std::runtime_error(detail);
+  // Builds a machine on the children's engine and runs server_init on it,
+  // returning the post-init parent image and its stat baselines. A broken
+  // server_init aborts the whole server, not request 0, whatever
+  // record_failures says: init runs unarmed, so it fails for every
+  // request alike.
+  auto build_parent = [&] {
+    std::pair<std::unique_ptr<vm::Machine>, InitBaseline> parent{
+        program.make_machine(child_cfg), InitBaseline{}};
+    pool.machines_built.fetch_add(1, std::memory_order_relaxed);
+    if (has_init) {
+      pool.init_replays.fetch_add(1, std::memory_order_relaxed);
+      vm::RunResult init = parent.first->run_function("server_init");
+      if (!init.ok) {
+        throw std::runtime_error(
+            "server_init failed: " +
+            (init.fault ? init.fault->detail : init.error));
       }
-      slot.failed = true;
-      slot.failure = detail;
-      slot.faults_injected += init.fault_stats.total();
-      return false;
+      parent.second = baseline_of(init);
     }
-    base = baseline_of(init);
-    return true;
+    return parent;
   };
 
   // Runs one clean (unarmed) request on a child holding the inherited
@@ -494,7 +480,7 @@ ServerMetrics serve_requests(const CompiledProgram& program, int requests,
   };
 
   // Runs one armed request: the per-attempt machine comes from
-  // `next_attempt` (fresh build + init replay, or restore of the pre-armed
+  // `next_attempt` (a fresh build_parent, or a restore of the pre-armed
   // parent snapshot) already holding the inherited image; this routine
   // arms the child at the fork point, seeds it, and runs the handler.
   // Every outcome is recorded, never thrown — the chaos contract is
@@ -509,9 +495,6 @@ ServerMetrics serve_requests(const CompiledProgram& program, int requests,
     const int budget = plan.net_retry_budget > 0 ? plan.net_retry_budget : 0;
     for (int attempt = 0;; ++attempt) {
       vm::Machine* child = next_attempt();
-      if (child == nullptr) {
-        break; // init replay failed; already recorded
-      }
       child->arm_faults(seeded, child_cfg.rng_seed);
       child->reseed(seed_base + static_cast<std::uint32_t>(i));
       vm::RunResult run =
@@ -557,33 +540,24 @@ ServerMetrics serve_requests(const CompiledProgram& program, int requests,
   };
 
   if (use_snapshot) {
-    // fork() from a snapshot pool: per worker chunk, build one machine,
-    // replay server_init once, capture the post-init (pre-arming) parent
-    // image, and rewind to it before every subsequent fork — each request,
-    // and each re-fork of a timed-out armed request. Each child sees the
-    // exact inherited parent image — restore() is bit-exact and armed
+    // fork() from a snapshot pool: per worker chunk, one build_parent,
+    // capture of the post-init (pre-arming) parent image, and a rewind to
+    // it before every subsequent fork — each request, and each re-fork of
+    // a timed-out armed request. Chunk 0's parent is built here, so
+    // server_init is checked once before any request runs, on the engine
+    // the children use; the other chunks build their own. Each child sees
+    // the exact inherited parent image — restore() is bit-exact and armed
     // children re-arm a fresh injector after the rewind — so every slot is
     // identical to the replay path below and to any other jobs value;
     // parallel_chunks uses parallel_for's chunk boundaries, and a failed
     // request throws in chunk index order, surfacing the same lowest
     // failing index the replay path would.
+    auto first_parent = build_parent();
     exec::parallel_chunks(
         static_cast<std::size_t>(requests), executor.jobs,
         [&](std::size_t begin, std::size_t end) {
-          std::unique_ptr<vm::Machine> child =
-              program.make_machine(child_cfg);
-          pool.machines_built.fetch_add(1, std::memory_order_relaxed);
-          InitBaseline base;
-          if (has_init) {
-            pool.init_replays.fetch_add(1, std::memory_order_relaxed);
-            vm::RunResult init = child->run_function("server_init");
-            if (!init.ok) {
-              throw std::runtime_error(
-                  "server_init failed: " +
-                  (init.fault ? init.fault->detail : init.error));
-            }
-            base = baseline_of(init);
-          }
+          auto [child, base] =
+              begin == 0 ? std::move(first_parent) : build_parent();
           std::unique_ptr<vm::MachineSnapshot> snap;
           auto ensure_snapshot = [&] {
             if (snap == nullptr) {
@@ -627,14 +601,10 @@ ServerMetrics serve_requests(const CompiledProgram& program, int requests,
         // so replaying them reconstructs that image exactly; program
         // start-up (call gate, global-array segments) and service
         // initialisation therefore never land on the per-request latency.
+        // A broken server_init throws from every request's build_parent
+        // before its handler runs.
         if (!armed) {
-          std::unique_ptr<vm::Machine> child =
-              program.make_machine(child_cfg);
-          pool.machines_built.fetch_add(1, std::memory_order_relaxed);
-          InitBaseline base;
-          if (!replay_init(*child, slots[i], base)) {
-            return;
-          }
+          auto [child, base] = build_parent();
           run_clean(*child, i, base);
           return;
         }
@@ -644,12 +614,9 @@ ServerMetrics serve_requests(const CompiledProgram& program, int requests,
         // bit.
         std::unique_ptr<vm::Machine> child;
         InitBaseline base;
-        bool init_ok = true;
-        auto rebuild = [&]() -> vm::Machine* {
-          child = program.make_machine(child_cfg);
-          pool.machines_built.fetch_add(1, std::memory_order_relaxed);
-          init_ok = replay_init(*child, slots[i], base);
-          return init_ok ? child.get() : nullptr;
+        auto rebuild = [&] {
+          std::tie(child, base) = build_parent();
+          return child.get();
         };
         serve_armed(i, base, rebuild);
       });

@@ -55,7 +55,7 @@ struct PoolStats {
   std::uint64_t machines_built{0}; // Machine constructions (children only)
   std::uint64_t captures{0};       // Machine::capture() calls
   std::uint64_t restores{0};       // Machine::restore() calls
-  std::uint64_t init_replays{0};   // server_init executions in workers
+  std::uint64_t init_replays{0};   // server_init runs
 };
 
 struct ServerMetrics {
@@ -222,6 +222,11 @@ struct ServeOptions {
 // per-worker machine snapshot of the post-init state (the default), or
 // building a fresh Machine and replaying `server_init` per request
 // (deterministic, so every child sees the identical inherited image).
+// On the snapshot path the first worker's parent is built and checked
+// once, before the accept loop, on the engine the children use, and that
+// worker serves from it. A failing `server_init` throws
+// std::runtime_error("server_init failed: <detail>") on both paths,
+// before any handler runs, even when handler failures are recorded.
 //
 // Requests are independent, so they are sharded across host threads per
 // `executor` ($CASH_JOBS / ExecutorConfig::jobs; jobs=1 is the serial

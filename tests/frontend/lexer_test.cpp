@@ -1,6 +1,10 @@
 // Lexer unit tests: token kinds, literals, comments, locations, errors.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <string>
+
 #include "frontend/lexer.hpp"
 
 namespace cash::frontend {
@@ -33,6 +37,33 @@ TEST(Lexer, IntegerLiterals) {
   EXPECT_EQ(tokens[1].int_value, 42);
   EXPECT_EQ(tokens[2].int_value, 0x1F);
   EXPECT_EQ(tokens[3].int_value, 0xFF);
+}
+
+TEST(Lexer, IntegerLiteralsPastThirtyTwoBitsAreErrors) {
+  // Without the range check these wrapped silently: 4294967297 became 1,
+  // so `int a[4294967297];` declared a one-element array.
+  for (const char* source :
+       {"4294967297", "0x100000000", "99999999999999999999999",
+        "0xFFFFFFFFFFFFFFFFFFFF"}) {
+    DiagnosticSink diagnostics;
+    Lexer lexer(source, diagnostics);
+    lexer.lex();
+    ASSERT_EQ(diagnostics.error_count(), 1) << source;
+    EXPECT_NE(diagnostics.to_string().find("does not fit in 32 bits"),
+              std::string::npos)
+        << diagnostics.to_string();
+  }
+}
+
+TEST(Lexer, ThirtyTwoBitLiteralsKeepTwosComplementWrap) {
+  const auto tokens = lex_ok("4294967295 0xFFFFFFFF 2147483648 -2147483648");
+  EXPECT_EQ(tokens[0].int_value, -1);
+  EXPECT_EQ(tokens[1].int_value, -1);
+  EXPECT_EQ(tokens[2].int_value, std::numeric_limits<std::int32_t>::min());
+  // Unary minus is a separate token; its operand wraps to INT_MIN, which
+  // negates back to INT_MIN.
+  EXPECT_EQ(tokens[3].kind, TokenKind::kMinus);
+  EXPECT_EQ(tokens[4].int_value, std::numeric_limits<std::int32_t>::min());
 }
 
 TEST(Lexer, FloatLiterals) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <ostream>
+#include <string>
 
 #include "core/cash.hpp"
 #include "frontend/lexer.hpp"
@@ -179,6 +180,93 @@ TEST(Parser, StrayTopLevelBraceIsDiagnosedNotLooped) {
     const CompileResult compiled = compile(source);
     EXPECT_FALSE(compiled.ok());
     EXPECT_FALSE(compiled.error.empty());
+  }
+}
+
+// `int main() { ... }` whose body nests `depth` levels of one construct.
+std::string nested_program(const std::string& shape, int depth) {
+  std::string body;
+  auto repeat = [&](const std::string& piece) {
+    for (int i = 0; i < depth; ++i) {
+      body += piece;
+    }
+  };
+  if (shape == "parens") {
+    body = "return ";
+    repeat("(");
+    body += "7";
+    repeat(")");
+    body += ";";
+  } else if (shape == "blocks") {
+    body = "int x; x = 7; ";
+    repeat("{ ");
+    repeat("} ");
+    body += "return x;";
+  } else if (shape == "negations") {
+    body = "return ";
+    repeat("- ");
+    body += "7;";
+  } else if (shape == "sum") {
+    body = "return 0";
+    repeat(" + 1");
+    body += ";";
+  } else if (shape == "else-if") {
+    body = "int x; x = 7; ";
+    repeat("if (x < 0) { x = 0; } else ");
+    body += "x = x + 0; return x;";
+  } else if (shape == "assignments") {
+    body = "int x; ";
+    repeat("x = ");
+    body += "7; return x;";
+  } else if (shape == "calls") {
+    body = "return ";
+    repeat("id(");
+    body += "7";
+    repeat(")");
+    body += ";";
+  }
+  return "int id(int v) { return v; }\nint main() { " + body + " }\n";
+}
+
+const char* const kNestingShapes[] = {"parens",  "blocks",      "negations",
+                                      "sum",     "else-if",     "assignments",
+                                      "calls"};
+
+TEST(Parser, NestingPastTheLimitIsDiagnosedNotOverflowed) {
+  // 20,000 levels of any construct used to recurse the parser (or, for a
+  // left-associative sum, irgen) off the end of an 8 MB host stack.
+  for (const char* shape : kNestingShapes) {
+    SCOPED_TRACE(shape);
+    const std::string source = nested_program(shape, 20000);
+    DiagnosticSink diagnostics;
+    Lexer lexer(source, diagnostics);
+    Parser parser(lexer.lex(), diagnostics);
+    (void)parser.parse();
+    // One diagnostic: the rest of the too-deep construct is skipped.
+    ASSERT_EQ(diagnostics.error_count(), 1) << diagnostics.to_string();
+    EXPECT_NE(diagnostics.to_string().find("nesting is deeper than"),
+              std::string::npos)
+        << diagnostics.to_string();
+    const CompileResult compiled = compile(source);
+    EXPECT_FALSE(compiled.ok());
+    EXPECT_NE(compiled.error.find("nesting is deeper than"),
+              std::string::npos)
+        << compiled.error;
+  }
+}
+
+TEST(Parser, HundredsOfNestingLevelsCompileAndRun) {
+  // Well under the limit every shape goes through irgen, the optimiser,
+  // elision and lowering, and runs.
+  CompileOptions options;
+  options.lower.mode = passes::CheckMode::kCash;
+  for (const char* shape : kNestingShapes) {
+    SCOPED_TRACE(shape);
+    const std::string source = nested_program(shape, 400);
+    const CompileResult compiled = compile(source, options);
+    ASSERT_TRUE(compiled.ok()) << compiled.error;
+    const int expected = std::string(shape) == "sum" ? 400 : 7;
+    EXPECT_EQ(compiled.program->run().exit_code, expected);
   }
 }
 

@@ -1,12 +1,15 @@
 // Production serving-loop tests: latency distributions, mixed request
 // classes (including deliberately faulty handlers), the arrival/queueing
-// model, connection churn, and snapshot-pool accounting. The bit-identity
-// side (snapshot vs replay, armed vs unarmed, thread counts) is covered in
+// model, connection churn, snapshot-pool accounting, and the abort of a
+// server whose server_init fails. The bit-identity side (snapshot vs
+// replay, armed vs unarmed, thread counts) is covered in
 // tests/exec/parallel_invariance_test.cpp; this suite pins the load-model
 // semantics themselves.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <stdexcept>
+#include <string>
 
 #include "netsim/netsim.hpp"
 
@@ -212,6 +215,15 @@ TEST(ServeLoop, SnapshotPoolAmortisesMachineBuilds) {
   EXPECT_EQ(pooled.pool.init_replays, 1u);
   EXPECT_EQ(pooled.pool.captures, 1u);
   EXPECT_EQ(pooled.pool.restores, 49u);
+  // jobs=2: one parent per chunk. The parent checked before the accept
+  // loop is chunk 0's, so it is not built twice.
+  const ServerMetrics two =
+      serve_requests(*program.program, 50, 1, {2});
+  EXPECT_EQ(two.pool.machines_built, 2u);
+  EXPECT_EQ(two.pool.init_replays, 2u);
+  EXPECT_EQ(two.pool.captures, 2u);
+  EXPECT_EQ(two.pool.restores, 48u);
+  EXPECT_EQ(first_metrics_difference(pooled, two), "");
   // Rebuild-and-replay pays the full build per request.
   ServeOptions replay;
   replay.enable_snapshot = false;
@@ -224,6 +236,76 @@ TEST(ServeLoop, SnapshotPoolAmortisesMachineBuilds) {
   // PoolStats is the one host-side member: everything simulated is still
   // bit-identical between the two strategies.
   EXPECT_EQ(first_metrics_difference(pooled, rebuilt), "");
+}
+
+// server_init overruns a local array, which Cash catches. The handlers
+// fault too, with a different bound, so a handler that ran before the
+// init check would surface as "request N failed" (implicit class) or as a
+// recorded failure with no throw at all (explicit classes, armed plan).
+constexpr const char* kBrokenInitServer = R"(
+int table[8];
+int server_init() {
+  int buf[4];
+  int i;
+  for (i = 0; i < 6; i++) {
+    buf[i] = i;
+  }
+  return buf[0];
+}
+int handle_request() {
+  int i;
+  i = rand() % 4 + 8;
+  table[i] = 1;
+  return 0;
+}
+int main() {
+  server_init();
+  return handle_request();
+}
+)";
+
+TEST(ServeLoop, BrokenServerInitAbortsTheServer) {
+  CompileOptions options;
+  options.lower.mode = passes::CheckMode::kCash;
+  const CompileResult program = compile(kBrokenInitServer, options);
+  ASSERT_TRUE(program.ok()) << program.error;
+  const vm::RunResult init =
+      program.program->make_machine()->run_function("server_init");
+  ASSERT_FALSE(init.ok);
+  ASSERT_TRUE(init.fault.has_value());
+  const std::string expected = "server_init failed: " + init.fault->detail;
+
+  ServeOptions classes;
+  classes.classes = {{"a", "handle_request", 2}, {"b", "handle_request", 1}};
+  faultinject::FaultPlan plan;
+  plan.seed = 7;
+  plan.rules.push_back(
+      {faultinject::FaultSite::kNetRequestTimeout, 0, 3, 0, 1});
+  struct Case {
+    const char* name;
+    ServeOptions serve;
+    faultinject::FaultPlan plan;
+  };
+  const Case cases[] = {{"implicit class", {}, {}},
+                        {"explicit classes", classes, {}},
+                        {"armed plan", {}, plan}};
+  for (const Case& c : cases) {
+    for (bool snapshot : {true, false}) {
+      for (int jobs : {1, 2, 8}) {
+        SCOPED_TRACE(std::string(c.name) +
+                     (snapshot ? " snapshot" : " replay") +
+                     " jobs=" + std::to_string(jobs));
+        ServeOptions serve = c.serve;
+        serve.enable_snapshot = snapshot;
+        try {
+          serve_requests(*program.program, 16, 3, {jobs}, c.plan, serve);
+          ADD_FAILURE() << "serve_requests returned";
+        } catch (const std::runtime_error& e) {
+          EXPECT_EQ(std::string(e.what()), expected);
+        }
+      }
+    }
+  }
 }
 
 TEST(ServeLoop, KillSwitchForcesArmedServingOffTheSnapshotPath) {
